@@ -6,9 +6,10 @@
 //! per-worker cost budget ([`ClusterConfig::cost_limit`]) is calibrated to
 //! its most expensive member, so at load 1× every query admits. Load `L`
 //! then interleaves, after each sustainable query, `L−1` *oversized*
-//! variants of it — the same keywords at an inflated radius chosen so their
-//! Theorem 5 estimated cost provably exceeds the budget. The offered cost
-//! is therefore ≈ `L×` what the budget sustains.
+//! variants of it — the same keywords at inflated radii chosen so their
+//! Theorem 5 estimated cost provably exceeds the budget, each variant one
+//! average edge length further out than the previous one so no two share
+//! a slot. The offered cost is therefore ≈ `L×` what the budget sustains.
 //!
 //! Each load level runs twice through `Cluster::run_stream` on fresh
 //! clusters: shedding **on** (the calibrated `cost_limit`) and shedding
@@ -292,16 +293,25 @@ pub fn overload(ds: &Dataset, params: &Params) -> (Table, OverloadSummary) {
     let oversized_r = oversized_multiplier * base_r;
 
     let base_fs: Vec<DFunction> = base.iter().map(|q| q.to_dfunction()).collect();
-    let oversized_fs: Vec<DFunction> = base
+    // Variant j of a query sits j average edge lengths further out than
+    // variant 0. Identical copies would share their slots in a batch
+    // frame, so the 3rd and 4th copies would cost nothing and the offered
+    // work would stop growing with L.
+    let variants = LOADS.iter().max().expect("non-empty load sweep") - 1;
+    let oversized_fs: Vec<Vec<DFunction>> = base
         .iter()
-        .map(|q| SgkQuery::new(q.keywords.clone(), oversized_r).to_dfunction())
+        .map(|q| {
+            (0..variants as u64)
+                .map(|j| SgkQuery::new(q.keywords.clone(), oversized_r + j * e).to_dfunction())
+                .collect()
+        })
         .collect();
 
     let k = params.num_fragments;
     let partitioning = MultilevelPartitioner::default().partition(&ds.net, k);
     let max_mult = *OVERSIZED_MULTIPLIERS.last().expect("non-empty multiplier sweep");
-    let indexes =
-        build_all_indexes(&ds.net, &partitioning, &IndexConfig::with_max_r(max_mult * base_r));
+    let index_config = IndexConfig::with_max_r(max_mult * base_r + variants as u64 * e);
+    let indexes = build_all_indexes(&ds.net, &partitioning, &index_config);
 
     let mut t = Table::new(
         format!(
@@ -342,9 +352,7 @@ pub fn overload(ds: &Dataset, params: &Params) -> (Table, OverloadSummary) {
         let mixed: Vec<DFunction> = base_fs
             .iter()
             .zip(&oversized_fs)
-            .flat_map(|(b, o)| {
-                std::iter::once(b.clone()).chain(std::iter::repeat_n(o.clone(), load - 1))
-            })
+            .flat_map(|(b, o)| std::iter::once(b).chain(&o[..load - 1]).cloned())
             .collect();
 
         let on_cluster = build(ds, &partitioning, indexes.clone(), cost_limit);

@@ -6,17 +6,18 @@
 //! `worker_threads = 1` (the default) tasks for the fragments a machine
 //! hosts are processed sequentially, modeling one CPU per machine (the
 //! paper's machines evaluate their fragment's task in a single process);
-//! with more threads an [`EvalPool`] fans the distinct coverage slots of a
-//! frame out across evaluator threads and a serial commit pass replays the
-//! results in slot-table order, so every byte on the wire and every cache
-//! ledger mutation is identical to the serial worker (see `DESIGN.md` §6k).
+//! with more threads an [`EvalPool`] fans the distinct coverage slots a
+//! frame's lazy evaluation will search out across evaluator threads and a
+//! serial commit pass replays the evaluation, so every byte on the wire and
+//! every cache ledger mutation is identical to the serial worker (see
+//! `DESIGN.md` §6k).
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
 //! a typed [`Response::Failed`] on the wire instead of a dead thread; a
 //! thread that does die (simulated crash) is detected and respawned by the
 //! coordinator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,7 +28,9 @@ use crossbeam::channel::{Receiver, Sender};
 
 use disks_core::bitset::BitSet;
 use disks_core::dfunc::{DTerm, Term};
-use disks_core::{BiLevelIndex, CoverageStore, FragmentEngine, QueryCost, QueryError, QueryPlan};
+use disks_core::{
+    BiLevelIndex, CoverageStore, FragmentEngine, QueryCost, QueryError, QueryPlan, SlotSource,
+};
 use disks_roadnet::{DijkstraWorkspace, NodeId};
 
 use crate::cache::CoverageCache;
@@ -121,9 +124,10 @@ impl WorkerEngine {
     }
 
     /// The concrete engine a plan with the given max radius evaluates on —
-    /// the §5.5 routing decision, read-only. Parallel slot evaluation must
-    /// run each slot on the engine its *first referencing query* routes to,
-    /// because primary and secondary record different per-slot costs.
+    /// the §5.5 routing decision, read-only. Prefetched coverages are keyed
+    /// by this engine, because primary and secondary record different
+    /// per-slot costs: the commit only substitutes a coverage computed on
+    /// the engine it routes the query to.
     fn routed_engine(&self, max_radius: u64) -> &FragmentEngine {
         match self {
             WorkerEngine::Single(e) => e,
@@ -157,6 +161,9 @@ impl CoverageStore for FragmentCacheStore<'_> {
     fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>) {
         self.cache.insert(self.fragment, slot.term, slot.radius, coverage.clone());
     }
+    fn peek(&self, slot: &DTerm) -> bool {
+        self.cache.peek(self.fragment, slot.term, slot.radius)
+    }
 }
 
 /// Layers the batch-shared result map over one fragment's LRU view for the
@@ -185,6 +192,9 @@ impl CoverageStore for BatchStore<'_> {
     fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>) {
         self.resolved.insert((slot.term, slot.radius), Arc::clone(coverage));
         self.inner.store(slot, coverage);
+    }
+    fn peek(&self, slot: &DTerm) -> bool {
+        self.resolved.contains_key(&(slot.term, slot.radius)) || self.inner.peek(slot)
     }
 }
 
@@ -274,14 +284,88 @@ fn helper_loop(rounds: Receiver<RoundMsg>) {
 /// prefetch job produces and what the commit pass substitutes on a miss.
 type SlotCoverage = (Arc<BitSet>, QueryCost);
 
-/// Phase-1 output: per hosted-engine index, the coverages computed off the
-/// serial path (keyed by slot) and the wall-clock each took. Empty when the
-/// pool is serial or the frame has no uncached slots — the commit pass then
-/// *is* the classic serial worker.
+/// Phase-1 output, keyed by the engine each coverage was computed on (a
+/// §5.5 pair hosts two per fragment, and their costs differ): the
+/// coverages computed off the serial path (keyed by slot) and the
+/// wall-clock each took. Empty when the pool is serial or the frame has no
+/// uncached slots — the commit pass then *is* the classic serial worker.
 #[derive(Default)]
 struct Prefetched {
-    covs: HashMap<usize, HashMap<(Term, u64), SlotCoverage>>,
-    micros: HashMap<usize, HashMap<(Term, u64), u64>>,
+    covs: HashMap<*const FragmentEngine, PrefetchedCovs>,
+    micros: HashMap<*const FragmentEngine, HashMap<(Term, u64), u64>>,
+}
+
+type PrefetchedCovs = HashMap<(Term, u64), SlotCoverage>;
+
+impl Prefetched {
+    /// The coverages prefetched on the engine `engine` routes `plan` to.
+    fn ready(&self, engine: &WorkerEngine, plan: &QueryPlan) -> Option<&PrefetchedCovs> {
+        self.covs.get(&(engine.routed_engine(plan.max_radius()) as *const FragmentEngine))
+    }
+
+    /// The per-slot job times matching [`Self::ready`].
+    fn job_micros(
+        &self,
+        engine: &WorkerEngine,
+        plan: &QueryPlan,
+    ) -> Option<&HashMap<(Term, u64), u64>> {
+        self.micros.get(&(engine.routed_engine(plan.max_radius()) as *const FragmentEngine))
+    }
+}
+
+/// A dry run of one query's lazy evaluation for the prefetch pass: the
+/// commit's selectivity order, with each uncached slot it would fetch
+/// queued as a job (except seedless ones, whose empty search the commit
+/// runs inline). Coverages stand in as one-element placeholders — empty
+/// exactly when the slot has no seeds — so the run stops queueing where the
+/// commit will find an empty ∩ chain. Non-empty placeholders always
+/// intersect, so the run may queue a slot the commit then skips because
+/// real coverages emptied the chain first; that costs a wasted search,
+/// never a different answer.
+struct PrefetchProbe<'a> {
+    plan: &'a QueryPlan,
+    engine: &'a FragmentEngine,
+    cache: &'a CoverageCache,
+    /// Slots already queued on this fragment in this frame, and whether
+    /// their placeholder is non-empty: the commit's batch store holds them.
+    seen: &'a mut HashMap<(Term, u64), bool>,
+    jobs: &'a mut Vec<EvalJob>,
+    full: &'a Arc<BitSet>,
+    empty: &'a Arc<BitSet>,
+}
+
+impl SlotSource for PrefetchProbe<'_> {
+    type Error = std::convert::Infallible;
+
+    fn is_cached(&self, slot: u32) -> bool {
+        let s = self.plan.slots()[slot as usize];
+        self.seen.contains_key(&(s.term, s.radius))
+            || self.cache.peek(self.engine.fragment().0, s.term, s.radius)
+    }
+
+    fn seeds(&self, slot: u32) -> usize {
+        let s = self.plan.slots()[slot as usize];
+        self.engine.seed_count(s.term, s.radius)
+    }
+
+    fn fetch(&mut self, slot: u32) -> Result<Arc<BitSet>, Self::Error> {
+        let s = self.plan.slots()[slot as usize];
+        let key = (s.term, s.radius);
+        let non_empty = match self.seen.get(&key) {
+            Some(&non_empty) => non_empty,
+            None if self.cache.peek(self.engine.fragment().0, s.term, s.radius) => true,
+            None => {
+                let non_empty = self.seeds(slot) > 0;
+                self.seen.insert(key, non_empty);
+                if non_empty {
+                    let job = EvalJob { term: s.term, radius: s.radius, engine: self.engine };
+                    self.jobs.push(job);
+                }
+                non_empty
+            }
+        };
+        Ok(Arc::clone(if non_empty { self.full } else { self.empty }))
+    }
 }
 
 /// A worker's slot-evaluation pool: `threads - 1` long-lived helper threads
@@ -314,13 +398,15 @@ impl EvalPool {
     }
 
     /// Phase 1 of the two-phase protocol: walk the frame's queries in
-    /// commit order, collect each distinct slot at its *first* non-skipped
-    /// reference (routing it to the engine that reference would use), skip
-    /// slots the cache predicts as hits, and evaluate the rest
-    /// concurrently. The returned table never changes what commit does —
-    /// only whether a given Dijkstra runs here (parallel) or there
-    /// (serial fallback for predicted hits evicted mid-frame and for slots
-    /// whose parallel evaluation panicked).
+    /// commit order and dry-run each one's lazy evaluation
+    /// ([`PrefetchProbe`]) on the engine the commit will route it to,
+    /// collecting each distinct slot at its first fetch, skipping slots the
+    /// cache predicts as hits and everything after an uncached ∩ operand
+    /// with zero seeds; then evaluate the collected slots concurrently. The
+    /// returned table never changes what commit does — only whether a
+    /// given Dijkstra runs here (parallel) or there (serial fallback for
+    /// predicted hits evicted mid-frame, slots the dry run did not reach,
+    /// and slots whose parallel evaluation panicked).
     fn prefetch(
         &mut self,
         engines: &[WorkerEngine],
@@ -333,44 +419,43 @@ impl EvalPool {
         if !self.parallel() {
             return Prefetched::default();
         }
+        let empty = Arc::new(BitSet::new(1));
+        let mut full = BitSet::new(1);
+        full.insert(0);
+        let full = Arc::new(full);
         let mut jobs = Vec::new();
-        let mut owners: Vec<(usize, (Term, u64))> = Vec::new();
         for (i, engine) in hosted_ref(engines, fragments) {
-            let fragment = engine.fragment().0;
-            let mut seen: HashSet<(Term, u64)> = HashSet::new();
-            for (qi, qplan) in queries.iter().enumerate() {
+            let mut seen = HashMap::new();
+            for (qi, plan) in queries.iter().enumerate() {
                 if presets[qi].is_some() {
                     continue; // NACKed in commit without evaluating
                 }
                 if inject_panic && i == 0 && qi == 0 {
                     continue; // commit panics this query before any slot work
                 }
-                let routed = engine.routed_engine(qplan.max_radius());
-                for slot in qplan.slots() {
-                    if !seen.insert((slot.term, slot.radius)) {
-                        continue; // later references share the first result
-                    }
-                    if cache.peek(fragment, slot.term, slot.radius) {
-                        continue; // predicted LRU hit: commit serves it
-                    }
-                    jobs.push(EvalJob {
-                        term: slot.term,
-                        radius: slot.radius,
-                        engine: routed as *const FragmentEngine,
-                    });
-                    owners.push((i, (slot.term, slot.radius)));
-                }
+                let mut probe = PrefetchProbe {
+                    plan,
+                    engine: engine.routed_engine(plan.max_radius()),
+                    cache,
+                    seen: &mut seen,
+                    jobs: &mut jobs,
+                    full: &full,
+                    empty: &empty,
+                };
+                let Ok(_) = plan.combine_lazy(&mut probe);
             }
         }
         if jobs.is_empty() {
             return Prefetched::default();
         }
+        let owners: Vec<(*const FragmentEngine, (Term, u64))> =
+            jobs.iter().map(|j| (j.engine, (j.term, j.radius))).collect();
         let results = self.run_round(jobs);
         let mut out = Prefetched::default();
-        for ((i, key), outcome) in owners.into_iter().zip(results) {
+        for ((engine, key), outcome) in owners.into_iter().zip(results) {
             if let Some((pair, micros)) = outcome {
-                out.covs.entry(i).or_default().insert(key, pair);
-                out.micros.entry(i).or_default().insert(key, micros);
+                out.covs.entry(engine).or_default().insert(key, pair);
+                out.micros.entry(engine).or_default().insert(key, micros);
             }
         }
         out
@@ -512,7 +597,7 @@ pub fn worker_loop(
             Request::Evaluate { query_id, plan, fragments } => {
                 // Phase 1 (no-op at threads = 1): evaluate the plan's
                 // distinct uncached slots concurrently; the commit below
-                // replays them in slot-table order through the same store.
+                // replays the lazy evaluation through the same store.
                 let prefetched = pool.prefetch(
                     &engines,
                     &fragments,
@@ -526,7 +611,8 @@ pub fn worker_loop(
                     let fragment = engine.fragment().0;
                     let panic_now = inject_panic && i == 0;
                     let cache_before = cache.counters();
-                    let ready = prefetched.covs.get(&i).unwrap_or(&empty);
+                    let ready = prefetched.ready(engine, &plan).unwrap_or(&empty);
+                    let micros = prefetched.job_micros(engine, &plan);
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                         if panic_now {
                             panic!("injected evaluation fault");
@@ -543,7 +629,7 @@ pub fn worker_loop(
                             wire.cache_evictions = delta.evictions;
                             wire.cache_bypassed = delta.bypassed;
                             wire.replica = machine_id as u64;
-                            attribute_parallel(&mut wire, &cost, prefetched.micros.get(&i));
+                            attribute_parallel(&mut wire, &cost, micros);
                             encode_frame(&Response::Results {
                                 query_id,
                                 fragment,
@@ -642,10 +728,11 @@ pub fn worker_loop(
 /// sharing slots through a per-fragment [`BatchStore`]. `presets[qi]`, when
 /// set, short-circuits query `qi` to a typed failure without evaluating it
 /// (the `BatchRef` NACK path). With a parallel pool the frame's distinct
-/// uncached slots — across *all* hosted fragments — are evaluated
-/// concurrently first; the loop below is then the commit pass, running the
-/// unchanged serial protocol with each Dijkstra replaced by its prefetched
-/// result. Returns `false` when the coordinator is gone.
+/// uncached slots that lazy evaluation will reach — across *all* hosted
+/// fragments — are evaluated concurrently first; the loop below is then
+/// the commit pass, running the unchanged serial protocol with each
+/// Dijkstra replaced by its prefetched result. Returns `false` when the
+/// coordinator is gone.
 #[allow(clippy::too_many_arguments)]
 fn answer_batch(
     machine_id: usize,
@@ -663,7 +750,6 @@ fn answer_batch(
     let empty = HashMap::new();
     for (i, engine) in hosted(engines, fragments) {
         let fragment = engine.fragment().0;
-        let ready = prefetched.covs.get(&i).unwrap_or(&empty);
         let mut store = BatchStore {
             inner: FragmentCacheStore { fragment, cache: &mut *cache },
             resolved: HashMap::new(),
@@ -676,6 +762,8 @@ fn answer_batch(
                 continue;
             }
             let panic_now = inject_panic && i == 0 && qi == 0;
+            let ready = prefetched.ready(engine, qplan).unwrap_or(&empty);
+            let micros = prefetched.job_micros(engine, qplan);
             let cache_before = store.inner.cache.counters();
             let shared_before = store.shared;
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -694,7 +782,7 @@ fn answer_batch(
                     wire.cache_bypassed = delta.bypassed;
                     wire.batch_shared = store.shared - shared_before;
                     wire.replica = machine_id as u64;
-                    attribute_parallel(&mut wire, &cost, prefetched.micros.get(&i));
+                    attribute_parallel(&mut wire, &cost, micros);
                     BatchAnswer::Results { nodes, cost: wire }
                 }
                 Ok(Err(e)) => BatchAnswer::Failed(e),

@@ -36,7 +36,7 @@ use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, Term};
 use crate::error::{IndexError, QueryError};
 use crate::index::{DlScope, NpdIndex};
-use crate::plan::QueryPlan;
+use crate::plan::{QueryPlan, SlotSource};
 
 /// Local sentinel for "not reached this term" in the top-k scorer.
 const INF_LOCAL: u64 = u64::MAX;
@@ -75,7 +75,8 @@ pub struct QueryCost {
     pub results: usize,
     /// Wall-clock spent.
     pub elapsed: Duration,
-    /// Per-slot breakdown of the aggregates above, in slot order.
+    /// Per-slot breakdown of the aggregates above, one entry per evaluated
+    /// slot in evaluation order (a slot the combine skipped has none).
     pub per_slot: Vec<SlotCost>,
 }
 
@@ -101,6 +102,11 @@ pub trait CoverageStore {
     fn lookup(&mut self, slot: &DTerm) -> Option<Arc<BitSet>>;
     /// Offer a freshly computed coverage for `slot`.
     fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>);
+    /// Whether `lookup(slot)` would hit, without counting as a lookup. Only
+    /// orders evaluation, so a store that cannot tell may answer `false`.
+    fn peek(&self, _slot: &DTerm) -> bool {
+        false
+    }
 }
 
 /// The no-op [`CoverageStore`]: every lookup misses, stores are dropped.
@@ -111,6 +117,55 @@ impl CoverageStore for NoCache {
         None
     }
     fn store(&mut self, _slot: &DTerm, _coverage: &Arc<BitSet>) {}
+}
+
+/// One plan's slots on one engine, as [`QueryPlan::combine_lazy`] sees
+/// them: hits from `store`, misses from `prefetched` or a fresh search, with
+/// the cost of every fetched slot accumulated in `total`.
+struct PlanSlots<'a> {
+    engine: &'a mut FragmentEngine,
+    plan: &'a QueryPlan,
+    store: &'a mut dyn CoverageStore,
+    prefetched: &'a HashMap<(Term, u64), (Arc<BitSet>, QueryCost)>,
+    total: QueryCost,
+}
+
+impl SlotSource for PlanSlots<'_> {
+    type Error = QueryError;
+
+    fn is_cached(&self, slot: u32) -> bool {
+        self.store.peek(&self.plan.slots()[slot as usize])
+    }
+
+    fn seeds(&self, slot: u32) -> usize {
+        let slot = &self.plan.slots()[slot as usize];
+        self.engine.seed_count(slot.term, slot.radius)
+    }
+
+    fn fetch(&mut self, slot: u32) -> Result<Arc<BitSet>, QueryError> {
+        let slot = &self.plan.slots()[slot as usize];
+        if let Some(hit) = self.store.lookup(slot) {
+            let nodes = hit.count();
+            self.total.coverage_nodes += nodes;
+            self.total.per_slot.push(SlotCost {
+                term: slot.term,
+                radius: slot.radius,
+                alpha: 0,
+                settled: 0,
+                pushed: 0,
+                coverage_nodes: nodes,
+                cached: true,
+            });
+            return Ok(hit);
+        }
+        let (cov, cost) = match self.prefetched.get(&(slot.term, slot.radius)) {
+            Some((cov, cost)) => (Arc::clone(cov), cost.clone()),
+            None => self.engine.coverage(slot.term, slot.radius)?,
+        };
+        self.store.store(slot, &cov);
+        self.total.absorb(&cost);
+        Ok(cov)
+    }
 }
 
 /// One machine's query-evaluation state for its fragment.
@@ -264,6 +319,48 @@ impl FragmentEngine {
             + self.dl_node_entries.values().map(|v| v.len() * 12 + 8).sum::<usize>()
     }
 
+    /// The search seeds of `term` within `radius`, uncopied: the local nodes
+    /// holding it (distance 0) and the DL / keyword-portal pairs with
+    /// `d ≤ radius` (Step 2's "retain pairs with distance at most r"; the
+    /// lists are sorted by distance, so this is a binary search).
+    fn seed_lists(&self, term: Term, radius: u64) -> (&[u32], &[(u32, u64)]) {
+        fn within(pairs: Option<&Vec<(u32, u64)>>, radius: u64) -> &[(u32, u64)] {
+            let pairs = pairs.map_or(&[][..], Vec::as_slice);
+            &pairs[..pairs.partition_point(|&(_, d)| d <= radius)]
+        }
+        match term {
+            Term::Keyword(k) => (
+                self.kw_nodes.get(&k).map_or(&[][..], Vec::as_slice),
+                within(self.keyword_portals.get(&k), radius),
+            ),
+            // No local node and no DL entry: either the location is farther
+            // than `radius` from every portal of P (empty local coverage —
+            // correct), or it is not DL-indexed under ObjectsOnly scope. The
+            // coordinator validates locations against the scope; the engine
+            // itself cannot distinguish the two cases without global data
+            // (see `DlScope`).
+            Term::Node(l) => match self.local_of.get(&l.0) {
+                Some(local) => (std::slice::from_ref(local), &[]),
+                None => (&[], within(self.dl_node_entries.get(&l.0), radius)),
+            },
+        }
+    }
+
+    /// Multi-source seeds of `term`'s virtual node within `radius`, plus αⱼ
+    /// (the DL pairs among them).
+    fn seeds(&self, term: Term, radius: u64) -> (Vec<(u32, u64)>, usize) {
+        let (locals, pairs) = self.seed_lists(term, radius);
+        let seeds = locals.iter().map(|&n| (n, 0)).chain(pairs.iter().copied()).collect();
+        (seeds, pairs.len())
+    }
+
+    /// How many seeds the coverage search of `R(term, radius)` would start
+    /// from, without searching. Zero seeds means an empty coverage.
+    pub fn seed_count(&self, term: Term, radius: u64) -> usize {
+        let (locals, pairs) = self.seed_lists(term, radius);
+        locals.len() + pairs.len()
+    }
+
     /// Compute the local keyword coverage `R(term, radius) ∩ P` (Steps 1–3
     /// of Alg. 2 plus the coverage Dijkstra).
     ///
@@ -300,45 +397,8 @@ impl FragmentEngine {
             "radius {radius} exceeds index maxR {} — admission should have rejected this query",
             self.max_r
         );
-        let mut cost = QueryCost::default();
-        let mut seeds: Vec<(u32, u64)> = Vec::new();
-        match term {
-            Term::Keyword(k) => {
-                if let Some(locals) = self.kw_nodes.get(&k) {
-                    seeds.extend(locals.iter().map(|&n| (n, 0)));
-                }
-                if let Some(pairs) = self.keyword_portals.get(&k) {
-                    // Sorted by distance → early break at radius (Step 2's
-                    // "retain pairs with distance at most r").
-                    for &(portal, d) in pairs {
-                        if d > radius {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-            Term::Node(l) => {
-                if let Some(&local) = self.local_of.get(&l.0) {
-                    seeds.push((local, 0));
-                } else if let Some(pairs) = self.dl_node_entries.get(&l.0) {
-                    for &(portal, d) in pairs {
-                        if d > radius {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-                // No entry: either the location is farther than `radius`
-                // from every portal of P (empty local coverage — correct),
-                // or it is not DL-indexed under ObjectsOnly scope. The
-                // coordinator validates locations against the scope; the
-                // engine itself cannot distinguish the two cases without
-                // global data (see `DlScope`).
-            }
-        }
+        let (seeds, alpha) = self.seeds(term, radius);
+        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut cov = BitSet::new(self.globals.len());
         let stats = ws.run(self, &seeds, radius, |n, _| {
             cov.insert(n as usize);
@@ -372,37 +432,8 @@ impl FragmentEngine {
             "bound {bound} exceeds index maxR {} — admission should have rejected this query",
             self.max_r
         );
-        let mut cost = QueryCost::default();
-        let mut seeds: Vec<(u32, u64)> = Vec::new();
-        match term {
-            Term::Keyword(k) => {
-                if let Some(locals) = self.kw_nodes.get(&k) {
-                    seeds.extend(locals.iter().map(|&n| (n, 0)));
-                }
-                if let Some(pairs) = self.keyword_portals.get(&k) {
-                    for &(portal, d) in pairs {
-                        if d > bound {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-            Term::Node(l) => {
-                if let Some(&local) = self.local_of.get(&l.0) {
-                    seeds.push((local, 0));
-                } else if let Some(pairs) = self.dl_node_entries.get(&l.0) {
-                    for &(portal, d) in pairs {
-                        if d > bound {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-        }
+        let (seeds, alpha) = self.seeds(term, bound);
+        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut table = Vec::new();
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
         let stats = ws.run(&*self, &seeds, bound, |n, d| {
@@ -489,10 +520,11 @@ impl FragmentEngine {
     /// Evaluate a normalized plan, consulting `store` per coverage slot.
     ///
     /// This is the layered split of Alg. 2: a per-slot coverage stage (each
-    /// slot either served from `store` or computed and offered back) and a
-    /// combine stage running the plan's operator program. Lemma 1 semantics
-    /// are identical to [`Self::evaluate`]; a hit skips the Dijkstra, never
-    /// changes the answer.
+    /// slot either served from `store` or computed and offered back) driven
+    /// lazily by the combine stage ([`QueryPlan::combine_lazy`]), which asks
+    /// for a coverage only while the answer can still depend on it. Lemma 1
+    /// semantics are identical to [`Self::evaluate`]; a hit or a skipped
+    /// slot saves a Dijkstra, never changes the answer.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
@@ -504,13 +536,18 @@ impl FragmentEngine {
     /// [`Self::evaluate_plan_with_cache`] with a table of already-computed
     /// coverages (the commit half of the worker pool's two-phase protocol).
     ///
-    /// For every store miss the slot is first looked up in `prefetched`;
-    /// present entries stand in for the Dijkstra the serial path would run
-    /// right here — same coverage, same recorded cost — and are offered to
-    /// `store` exactly as a fresh computation would be, so cache admissions,
-    /// evictions, and counters replay in serial order. Absent slots (a
-    /// predicted hit evicted mid-frame, or a slot whose parallel evaluation
-    /// panicked) fall back to the in-place serial computation.
+    /// For every slot the evaluation fetches that `store` does not hold,
+    /// the slot is first looked up in `prefetched`; present entries stand
+    /// in for the Dijkstra the serial path would run right here — same
+    /// coverage, same recorded cost — and are offered to `store` exactly as
+    /// a fresh computation would be, so cache admissions, evictions, and
+    /// counters replay in serial order. Absent slots (a predicted hit
+    /// evicted mid-frame, a slot the prefetch skipped, or one whose parallel
+    /// evaluation panicked) fall back to the in-place serial computation.
+    ///
+    /// Only fetched slots are looked up, stored and costed: `per_slot` lists
+    /// them in evaluation order, and a slot the combine skips appears
+    /// nowhere.
     pub fn evaluate_plan_prefetched(
         &mut self,
         plan: &QueryPlan,
@@ -518,38 +555,11 @@ impl FragmentEngine {
         prefetched: &HashMap<(Term, u64), (Arc<BitSet>, QueryCost)>,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
         let start = std::time::Instant::now();
-        let mut total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
-        let mut coverages: Vec<Arc<BitSet>> = Vec::with_capacity(plan.num_slots());
-        for slot in plan.slots() {
-            if let Some(hit) = store.lookup(slot) {
-                let nodes = hit.count();
-                total.coverage_nodes += nodes;
-                total.per_slot.push(SlotCost {
-                    term: slot.term,
-                    radius: slot.radius,
-                    alpha: 0,
-                    settled: 0,
-                    pushed: 0,
-                    coverage_nodes: nodes,
-                    cached: true,
-                });
-                coverages.push(hit);
-                continue;
-            }
-            let (cov, cost) = match prefetched.get(&(slot.term, slot.radius)) {
-                Some((cov, cost)) => (Arc::clone(cov), cost.clone()),
-                None => self.coverage(slot.term, slot.radius)?,
-            };
-            store.store(slot, &cov);
-            total.absorb(&cost);
-            coverages.push(cov);
-        }
-        // Single-operand plans (the common 1-keyword SGKQ/RKQ shape) read
-        // the coverage directly instead of cloning it through `combine`.
-        let mut result: Vec<NodeId> = match plan.single_slot() {
-            Some(slot) => coverages[slot as usize].iter().map(|i| self.globals[i]).collect(),
-            None => plan.combine(&coverages).iter().map(|i| self.globals[i]).collect(),
-        };
+        let total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
+        let mut src = PlanSlots { engine: self, plan, store, prefetched, total };
+        let acc = plan.combine_lazy(&mut src)?;
+        let mut total = src.total;
+        let mut result: Vec<NodeId> = acc.iter().map(|i| self.globals[i]).collect();
         result.sort_unstable();
         total.results = result.len();
         total.elapsed = start.elapsed();

@@ -52,7 +52,8 @@ pub use index::{
 };
 pub use layout::LayoutMode;
 pub use plan::{
-    CostParams, ElidedSlot, ElidedSuperPlan, QueryPlan, ResolvedBatch, SlotIdTable, SuperPlan,
+    CostParams, ElidedSlot, ElidedSuperPlan, QueryPlan, ResolvedBatch, SlotIdTable, SlotSource,
+    SuperPlan,
 };
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

@@ -12,6 +12,8 @@
 //! and the union over fragments is taken by the coordinator exactly as for
 //! the original D-function.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut};
 
 use disks_roadnet::codec::{Decode, Encode};
@@ -135,17 +137,6 @@ impl QueryPlan {
         })
     }
 
-    /// The single slot index when the program has exactly one operand (the
-    /// common 1-keyword SGKQ / RKQ shape) — callers can then use the
-    /// coverage directly instead of cloning it through [`Self::combine`].
-    pub fn single_slot(&self) -> Option<u32> {
-        if self.ops.is_empty() {
-            Some(self.first)
-        } else {
-            None
-        }
-    }
-
     /// Theorem 5 pre-dispatch cost estimate: the summed slot costs (distinct
     /// coverages × expected coverage size). Deduplicated slots are charged
     /// once, mirroring what a worker actually evaluates. Always ≥ 1, so an
@@ -180,6 +171,95 @@ impl QueryPlan {
         }
         acc
     }
+
+    /// Run the combine program lazily, fetching a slot's coverage only while
+    /// the answer can still depend on it. Returns exactly what
+    /// [`Self::combine`] returns over every slot's coverage.
+    ///
+    /// The program's leading ∩-run (`first` and every operand up to the
+    /// first ∪/−) commutes, so it is evaluated in selectivity order: slots
+    /// `src` reports as cached first, in slot order, then the uncached ones
+    /// by ascending seed count (ties by slot order). Once the accumulator is
+    /// empty, every ∩/− operand is skipped until the next ∪ (∅ ∩ X =
+    /// ∅ − X = ∅), so with no ∪ left nothing more is fetched. Each slot is
+    /// fetched at most once; seeds are counted only when two or more
+    /// uncached slots remain to be ordered.
+    pub fn combine_lazy<S: SlotSource>(&self, src: &mut S) -> Result<Arc<BitSet>, S::Error> {
+        let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
+        let mut fetch = |src: &mut S, slot: u32| -> Result<Arc<BitSet>, S::Error> {
+            let memo = &mut fetched[slot as usize];
+            if memo.is_none() {
+                *memo = Some(src.fetch(slot)?);
+            }
+            Ok(Arc::clone(memo.as_ref().expect("just fetched")))
+        };
+        let run = self.ops.iter().take_while(|&&(op, _)| op == SetOp::Intersect).count();
+        // Leading-run operands as (uncached, seeds, slot): sorting puts the
+        // hits first, then the misses, each in slot order.
+        let mut lead: Vec<(bool, usize, u32)> = std::iter::once(self.first)
+            .chain(self.ops[..run].iter().map(|&(_, s)| s))
+            .map(|s| (false, 0, s))
+            .collect();
+        if lead.len() > 1 {
+            lead.sort_unstable();
+            lead.dedup();
+            for entry in &mut lead {
+                entry.0 = !src.is_cached(entry.2);
+            }
+            lead.sort_unstable();
+        }
+        let hits = lead.partition_point(|&(miss, _, _)| !miss);
+        let mut acc: Option<Arc<BitSet>> = None;
+        let mut live = true;
+        for i in 0..lead.len() {
+            if i == hits && lead.len() - hits > 1 {
+                for entry in &mut lead[hits..] {
+                    entry.1 = src.seeds(entry.2);
+                }
+                lead[hits..].sort_unstable();
+            }
+            let cov = fetch(src, lead[i].2)?;
+            live = match &mut acc {
+                Some(a) => Arc::make_mut(a).intersect_with(&cov),
+                None => !acc.insert(cov).is_empty(),
+            };
+            if !live {
+                break;
+            }
+        }
+        let mut acc = acc.expect("the leading run has an operand");
+        for &(op, slot) in &self.ops[run..] {
+            live = match op {
+                SetOp::Union if live => {
+                    Arc::make_mut(&mut acc).union_with(&*fetch(src, slot)?);
+                    true
+                }
+                SetOp::Union => {
+                    acc = fetch(src, slot)?; // ∅ ∪ X = X, shared without a copy
+                    !acc.is_empty()
+                }
+                _ if !live => false, // ∅ ∩ X = ∅ − X = ∅: X is never fetched
+                SetOp::Intersect => Arc::make_mut(&mut acc).intersect_with(&*fetch(src, slot)?),
+                SetOp::Subtract => Arc::make_mut(&mut acc).subtract(&*fetch(src, slot)?),
+            };
+        }
+        Ok(acc)
+    }
+}
+
+/// The coverage side of [`QueryPlan::combine_lazy`]: where each slot's
+/// coverage comes from, and what ordering it costs. Slot arguments are
+/// indexes into [`QueryPlan::slots`].
+pub trait SlotSource {
+    type Error;
+    /// Whether `fetch(slot)` would be served without a search. Must not
+    /// count as a lookup.
+    fn is_cached(&self, slot: u32) -> bool;
+    /// The number of seeds the slot's coverage search would start from — a
+    /// slot with zero seeds has an empty coverage.
+    fn seeds(&self, slot: u32) -> usize;
+    /// The slot's coverage. Called at most once per slot and plan.
+    fn fetch(&mut self, slot: u32) -> Result<Arc<BitSet>, Self::Error>;
 }
 
 /// A merged batch of [`QueryPlan`]s sharing one deduplicated slot table —
@@ -710,18 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn single_slot_detects_one_operand_plans() {
-        let one = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(3)), 7));
-        assert_eq!(one.single_slot(), Some(0));
-        let two = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(3)), 7).then(
-            SetOp::Union,
-            Term::Keyword(KeywordId(4)),
-            7,
-        ));
-        assert_eq!(two.single_slot(), None);
-    }
-
-    #[test]
     fn combine_short_circuits_only_when_no_union_remains() {
         // (X1 ∩ X2) ∪ X3 with X1 ∩ X2 = ∅: the ∪ must still apply.
         let f = DFunction::single(Term::Keyword(KeywordId(0)), 1)
@@ -730,6 +798,40 @@ mod tests {
         let plan = QueryPlan::lower(&f);
         let got = plan.combine(&[set(8, &[0, 1]), set(8, &[2, 3]), set(8, &[5])]);
         assert_eq!(got.iter().collect::<Vec<_>>(), vec![5]);
+    }
+
+    /// A [`SlotSource`] over fixed coverages, every slot uncached.
+    struct Fixed(Vec<Arc<BitSet>>);
+
+    impl SlotSource for Fixed {
+        type Error = std::convert::Infallible;
+        fn is_cached(&self, _: u32) -> bool {
+            false
+        }
+        fn seeds(&self, slot: u32) -> usize {
+            self.0[slot as usize].count()
+        }
+        fn fetch(&mut self, slot: u32) -> Result<Arc<BitSet>, Self::Error> {
+            Ok(Arc::clone(&self.0[slot as usize]))
+        }
+    }
+
+    #[test]
+    fn combine_lazy_returns_the_fetched_coverage_without_a_copy() {
+        // One operand (the 1-keyword SGKQ / RKQ shape): the answer is the
+        // fetched Arc itself.
+        let one = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(3)), 7));
+        let x = set(8, &[1, 4]);
+        let Ok(got) = one.combine_lazy(&mut Fixed(vec![Arc::clone(&x)]));
+        assert!(Arc::ptr_eq(&got, &x));
+        // ∅ ∪ X: the ∪ shares X's Arc instead of copying it into the ∅.
+        let union = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(3)), 7).then(
+            SetOp::Union,
+            Term::Keyword(KeywordId(4)),
+            7,
+        ));
+        let Ok(got) = union.combine_lazy(&mut Fixed(vec![set(8, &[]), Arc::clone(&x)]));
+        assert!(Arc::ptr_eq(&got, &x));
     }
 
     fn batch_of_plans() -> Vec<QueryPlan> {

@@ -50,9 +50,13 @@ pub struct SearchStats {
 ///
 /// Every production coverage search is bounded by its slot radius, which the
 /// bench datasets keep well under this (radii are a few tens of average edge
-/// lengths); the bucket array costs 24 bytes per distance unit and is reused
-/// across runs, so the cap bounds workspace memory at ~1.5 MiB worst case.
-const DIAL_MAX_BUCKETS: usize = 1 << 16;
+/// lengths); a bucket costs a 4-byte head plus one occupancy bit per
+/// distance unit, reused across runs, so the cap bounds the bucket arrays at
+/// ~264 KiB worst case (the entry arena grows with pushes, 8 bytes each).
+const DIAL_MAX_BUCKETS: u64 = 1 << 16;
+
+/// End of a Dial bucket's entry list.
+const NIL: u32 = u32::MAX;
 
 /// The queue kernel behind a bounded search (see [`DijkstraWorkspace`]).
 /// [`DijkstraWorkspace::run`] picks one from the bound alone; benchmarks
@@ -72,7 +76,7 @@ pub enum Kernel {
 /// deterministic and bound-only, so serial and parallel evaluations of the
 /// same slot always take the same code path.
 pub fn kernel_for(bound: u64) -> Kernel {
-    if (bound as usize) < DIAL_MAX_BUCKETS {
+    if bound < DIAL_MAX_BUCKETS {
         Kernel::Dial
     } else if bound < (1 << 32) {
         Kernel::PackedHeap
@@ -106,9 +110,16 @@ pub struct DijkstraWorkspace {
     epoch: u32,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     packed: BinaryHeap<Reverse<u64>>,
-    /// Dial buckets indexed by distance; all empty between runs (the run
-    /// either drains them or sweeps the touched range on early stop).
-    buckets: Vec<Vec<u32>>,
+    /// Dial bucket heads indexed by distance: the arena index of the
+    /// bucket's newest entry, meaningful only while its `occupied` bit is
+    /// set (so no head ever needs resetting).
+    head: Vec<u32>,
+    /// One bit per Dial bucket, set while the bucket is non-empty; all clear
+    /// between runs (the run either drains them or clears the touched words
+    /// on early stop). The next non-empty bucket is a `trailing_zeros` away.
+    occupied: Vec<u64>,
+    /// Dial entry arena: `(node, next entry in the same bucket)`.
+    entries: Vec<(u32, u32)>,
 }
 
 impl DijkstraWorkspace {
@@ -120,7 +131,9 @@ impl DijkstraWorkspace {
             epoch: 0,
             heap: BinaryHeap::new(),
             packed: BinaryHeap::new(),
-            buckets: Vec::new(),
+            head: Vec::new(),
+            occupied: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -196,7 +209,7 @@ impl DijkstraWorkspace {
         self.begin_epoch();
         match kernel {
             Kernel::Dial => {
-                assert!((bound as usize) < DIAL_MAX_BUCKETS, "Dial needs bound < 2^16");
+                assert!(bound < DIAL_MAX_BUCKETS, "Dial needs bound < 2^16");
                 self.run_dial(graph, sources, bound, on_settle)
             }
             Kernel::PackedHeap => {
@@ -210,6 +223,7 @@ impl DijkstraWorkspace {
     /// Dial bucket-queue kernel: one bucket per distance unit, drained in
     /// order. Entries carry no distance (the bucket index is the distance);
     /// staleness is detected by comparing against the settled distance.
+    /// Each bucket is a LIFO list threaded through the entry arena.
     fn run_dial<G: Graph + ?Sized>(
         &mut self,
         graph: &G,
@@ -218,9 +232,11 @@ impl DijkstraWorkspace {
         mut on_settle: impl FnMut(u32, u64) -> Control,
     ) -> SearchStats {
         let nb = bound as usize + 1;
-        if self.buckets.len() < nb {
-            self.buckets.resize_with(nb, Vec::new);
+        if self.head.len() < nb {
+            self.head.resize(nb, NIL);
+            self.occupied.resize(nb.div_ceil(64), 0);
         }
+        self.entries.clear();
         let mut stats = SearchStats::default();
         let mut remaining = 0usize; // queued entries, stale included
         let mut lo = nb; // lowest touched bucket
@@ -228,7 +244,7 @@ impl DijkstraWorkspace {
         for &(s, d0) in sources {
             if d0 <= bound && d0 < self.current_dist(s) {
                 self.set_dist(s, d0);
-                self.buckets[d0 as usize].push(s);
+                dial_push(&mut self.head, &mut self.occupied, &mut self.entries, d0 as usize, s);
                 stats.pushed += 1;
                 remaining += 1;
                 lo = lo.min(d0 as usize);
@@ -240,10 +256,19 @@ impl DijkstraWorkspace {
         while remaining > 0 {
             // Non-negative weights mean every queued entry sits at >= i, so
             // the scan never restarts.
-            while self.buckets[i].is_empty() {
-                i += 1;
+            let mut wi = i / 64;
+            let mut word = self.occupied[wi] & (!0u64 << (i % 64));
+            while word == 0 {
+                wi += 1;
+                word = self.occupied[wi];
             }
-            let u = self.buckets[i].pop().expect("non-empty bucket");
+            i = wi * 64 + word.trailing_zeros() as usize;
+            let (u, next) = self.entries[self.head[i] as usize];
+            if next == NIL {
+                self.occupied[wi] &= !(1u64 << (i % 64));
+            } else {
+                self.head[i] = next;
+            }
             remaining -= 1;
             let d = i as u64;
             if d > self.current_dist(u) {
@@ -260,7 +285,8 @@ impl DijkstraWorkspace {
             }
             // Relax in place: split borrows so the adjacency closure can
             // update the distance arrays without a temporary allocation.
-            let (dist, stamp, buckets) = (&mut self.dist, &mut self.stamp, &mut self.buckets);
+            let (dist, stamp) = (&mut self.dist, &mut self.stamp);
+            let (head, occupied, entries) = (&mut self.head, &mut self.occupied, &mut self.entries);
             let epoch = self.epoch;
             let pushed = &mut stats.pushed;
             graph.for_each_neighbor(u, &mut |v, w| {
@@ -271,7 +297,7 @@ impl DijkstraWorkspace {
                     if nd < cur {
                         dist[vi] = nd;
                         stamp[vi] = epoch;
-                        buckets[nd as usize].push(v);
+                        dial_push(head, occupied, entries, nd as usize, v);
                         *pushed += 1;
                         remaining += 1;
                         hi = hi.max(nd as usize);
@@ -280,11 +306,9 @@ impl DijkstraWorkspace {
             });
         }
         // Leave every bucket empty for the next run: a completed search
-        // drained them all; an early stop sweeps the still-touched range.
+        // drained them all; an early stop clears the still-touched words.
         if stopped && remaining > 0 {
-            for b in &mut self.buckets[i..=hi] {
-                b.clear();
-            }
+            self.occupied[i / 64..=hi / 64].fill(0);
         }
         stats
     }
@@ -459,6 +483,22 @@ impl DijkstraWorkspace {
         });
         out
     }
+}
+
+/// Push `node` onto Dial bucket `b` (LIFO: it becomes the bucket's head).
+#[inline]
+fn dial_push(
+    head: &mut [u32],
+    occupied: &mut [u64],
+    entries: &mut Vec<(u32, u32)>,
+    b: usize,
+    node: u32,
+) {
+    let bit = 1u64 << (b % 64);
+    let next = if occupied[b / 64] & bit != 0 { head[b] } else { NIL };
+    occupied[b / 64] |= bit;
+    head[b] = entries.len() as u32;
+    entries.push((node, next));
 }
 
 /// Dijkstra with predecessor tracking, for extracting actual shortest paths.
@@ -769,6 +809,70 @@ mod tests {
         });
         reference.sort_unstable();
         assert_eq!(after, reference);
+    }
+
+    /// The per-bucket `Vec<u32>` Dial queue the arena layout replaced: a
+    /// reference for the exact settle sequence and stats.
+    fn vec_bucket_dial(
+        g: &impl Graph,
+        sources: &[(u32, u64)],
+        bound: u64,
+    ) -> (Vec<(u32, u64)>, SearchStats) {
+        let mut dist = vec![INF; g.num_nodes()];
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); bound as usize + 1];
+        let mut stats = SearchStats::default();
+        for &(s, d0) in sources {
+            if d0 <= bound && d0 < dist[s as usize] {
+                dist[s as usize] = d0;
+                buckets[d0 as usize].push(s);
+                stats.pushed += 1;
+            }
+        }
+        let mut order = Vec::new();
+        for i in 0..buckets.len() {
+            while let Some(u) = buckets[i].pop() {
+                let d = i as u64;
+                if d > dist[u as usize] {
+                    continue;
+                }
+                stats.settled += 1;
+                order.push((u, d));
+                g.for_each_neighbor(u, &mut |v, w| {
+                    let nd = d + u64::from(w);
+                    if nd <= bound && nd < dist[v as usize] {
+                        dist[v as usize] = nd;
+                        buckets[nd as usize].push(v);
+                        stats.pushed += 1;
+                    }
+                });
+            }
+        }
+        (order, stats)
+    }
+
+    #[test]
+    fn dial_arena_keeps_the_vec_bucket_settle_order_and_stats() {
+        let g = lcg_network(300, 900);
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let sources = [(0u32, 0u64), (17, 3), (42, 11), (99, 64), (150, 200)];
+        for bound in [0u64, 1, 63, 64, 65, 127, 400, 3000, 65_535] {
+            let mut order = Vec::new();
+            let stats = ws.run(&g, &sources, bound, |n, d| {
+                order.push((n, d));
+                Control::Continue
+            });
+            assert_eq!(kernel_for(bound), Kernel::Dial);
+            assert_eq!((order, stats), vec_bucket_dial(&g, &sources, bound), "bound {bound}");
+        }
+    }
+
+    #[test]
+    fn kernel_choice_compares_the_bound_as_u64() {
+        assert_eq!(kernel_for(DIAL_MAX_BUCKETS - 1), Kernel::Dial);
+        assert_eq!(kernel_for(DIAL_MAX_BUCKETS), Kernel::PackedHeap);
+        // Truncated to 32 bits, 2^32 would read as 0 and pick Dial.
+        assert_eq!(kernel_for(1 << 32), Kernel::WideHeap);
+        assert_eq!(kernel_for((1 << 32) + 5), Kernel::WideHeap);
     }
 
     #[test]
